@@ -1,10 +1,9 @@
-"""PERF — simulator-core benchmark (calendar queue + queued network).
+"""PERF — simulator-core benchmark (fast engine + queued network).
 
 Runs the fine-grained interleaved collective checkpoint (the workload the
-growth seed spent ~28 s of host time on) under the fast engine, the queued
-network model and the in-tree legacy engine/heapq profile, plus a pure
-scheduler-churn microbenchmark and queued-model scale points up to the
-4096-rank smoke shape.  Results — wall-clock seconds, processed events,
+growth seed spent ~28 s of host time on) on the bottleneck and queued
+network models, traced and untraced, plus queued-model scale points up to
+the 4096-rank smoke shape.  Results — wall-clock seconds, processed events,
 events/sec, cross-model read digests and the speedup against the seed
 reference — land in ``BENCH_simcore.json`` at the repository root.
 
@@ -16,7 +15,10 @@ re-measure it live instead — the acceptance assertion applies whenever the
 headline point matches the reference workload (i.e. in full mode).
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push).  Smoke runs write
+``BENCH_simcore_smoke.json`` instead, so they never overwrite the full-size
+artifact; CI diffs that file against
+``benchmarks/baselines/BENCH_simcore_smoke.json``.
 """
 
 import json
@@ -38,8 +40,9 @@ from repro.bench.simcore import (
 )
 from repro.cluster.config import ClusterConfig
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_simcore.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+ARTIFACT = Path(__file__).resolve().parents[1] / (
+    "BENCH_simcore_smoke.json" if SMOKE else "BENCH_simcore.json")
 
 #: acceptance floor on the headline speedup vs the seed scheduler/engine
 MIN_SPEEDUP_VS_SEED = 5.0
@@ -147,9 +150,8 @@ def suite():
     print()
     print(format_table(
         results["rows"],
-        columns=["label", "kind", "num_ranks", "network_model", "engine",
-                 "scheduler", "wall_clock_s", "processed_events",
-                 "events_per_sec"],
+        columns=["label", "kind", "num_ranks", "network_model",
+                 "wall_clock_s", "processed_events", "events_per_sec"],
         title="simulator-core benchmark"))
     return results
 
@@ -190,33 +192,6 @@ def test_network_models_move_identical_bytes(suite):
         == by_label["headline-queued"]["read_digest"]
     # ...and the queued run simulates a different (not smaller) timeline
     assert by_label["headline-queued"]["sim_elapsed_s"] > 0
-
-
-def test_scheduler_backends_stay_in_the_same_band(suite):
-    """The pure engine microbenchmark: both queue backends process the
-    identical schedule, and neither may collapse relative to the other
-    (the end-to-end speedup lives in the engine/domain path, not the queue
-    — this row guards against a future regression in either backend)."""
-    by_label = {row["label"]: row for row in suite["rows"]}
-    calendar = by_label["churn-calendar"]
-    heapq_row = by_label["churn-heapq"]
-    assert calendar["processed_events"] == heapq_row["processed_events"]
-    assert calendar["events_per_sec"] >= heapq_row["events_per_sec"] / 2.5, (
-        f"calendar {calendar['events_per_sec']}/s vs heapq "
-        f"{heapq_row['events_per_sec']}/s")
-    assert heapq_row["events_per_sec"] >= calendar["events_per_sec"] / 2.5, (
-        f"heapq {heapq_row['events_per_sec']}/s vs calendar "
-        f"{calendar['events_per_sec']}/s")
-
-
-def test_legacy_profile_recorded(suite):
-    """The in-tree legacy engine/heapq row exists for trajectory tracking
-    and moved the same bytes as the fast profile."""
-    by_label = {row["label"]: row for row in suite["rows"]}
-    legacy = by_label["headline-legacy-heapq"]
-    assert legacy["engine"] == "legacy"
-    assert legacy["scheduler"] == "heapq"
-    assert legacy["read_digest"] == by_label["headline"]["read_digest"]
 
 
 def test_tracing_perturbs_nothing_and_overhead_recorded(suite):
@@ -338,8 +313,7 @@ def test_artifact_written_with_populated_columns(suite):
     assert artifact["suite"] == "simcore"
     assert artifact["seed_reference"]["commit"] == SEED_REFERENCE["commit"]
     labels = {row["label"] for row in artifact["rows"]}
-    assert {"headline", "headline-queued", "churn-calendar",
-            "churn-heapq"} <= labels
+    assert {"headline", "headline-traced", "headline-queued"} <= labels
     for row in artifact["rows"]:
         assert row["wall_clock_s"] >= 0
         assert row["processed_events"] > 0

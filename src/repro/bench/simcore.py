@@ -1,6 +1,6 @@
-"""Simulator-core benchmark: engine throughput and end-to-end speedup.
+"""Simulator-core benchmark: host cost and end-to-end speedup.
 
-Three kinds of measurement feed ``BENCH_simcore.json``:
+Two kinds of measurement feed ``BENCH_simcore.json``:
 
 * **collective I/O points** — the fine-grained interleaved collective
   checkpoint (every rank writes ``blocks_per_rank`` blocks of
@@ -10,19 +10,13 @@ Three kinds of measurement feed ``BENCH_simcore.json``:
   wall-clock seconds, processed simulator events, events/sec and a SHA-256
   digest of the final file contents (the cross-``network_model``
   byte-identity witness).
-* **scheduler churn** — a pure engine microbenchmark (no storage stack):
-  a pool of actors sleeping on pseudorandom timeouts, run under both queue
-  backends, isolating calendar-vs-heapq throughput.
 * **scale points** — larger rank counts under the queued network model,
   including the 4096-rank smoke point the acceptance criteria ask for.
 
 The headline speedup compares the current tree against the growth seed
-(commit ``0473493``).  The seed's event machinery cannot be re-created
-in-tree (``engine="legacy"``/``scheduler="heapq"`` swaps the engine but
-shares today's optimized domain code), so the suite carries a *pinned*
-seed measurement with provenance; set ``REPRO_BENCH_SEED_SRC`` to a
-checkout of the seed's ``src`` directory to re-measure it live on the
-current host instead.
+(commit ``0473493``).  The suite carries a *pinned* seed measurement with
+provenance; set ``REPRO_BENCH_SEED_SRC`` to a checkout of the seed's
+``src`` directory to re-measure it live on the current host instead.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from repro.obs.critpath import operation_report
 from repro.obs.digest import digest_columns
 from repro.obs.export import dump_chrome_trace
 from repro.obs.views import collect_all
-from repro.simengine.simulator import Simulator
 from repro.vstore.client import VectoredClient
 
 PATH = "/simcore"
@@ -87,15 +80,11 @@ class SimcoreSettings:
     num_metadata_providers: int = 2
     chunk_size: int = 16 * 1024
     seed: int = 0
-    #: event count of the scheduler-churn microbenchmark (per backend)
-    churn_events: int = 200_000
     #: larger points run under ``network_model="queued"``:
     #: (num_ranks, blocks_per_rank, block_size, read_rounds)
     scale_points: Tuple[Tuple[int, int, int, int], ...] = ((512, 16, 4096, 1),)
     #: the completion smoke point (write-only at the largest rank count)
     smoke_point: Optional[Tuple[int, int, int, int]] = (4096, 1, 4096, 0)
-    #: also run the headline point on the in-tree legacy engine + heapq
-    compare_legacy: bool = True
 
     def scaled_down(self) -> "SimcoreSettings":
         """Smoke-mode variant for CI: same shapes, a fraction of the work."""
@@ -106,7 +95,6 @@ class SimcoreSettings:
             read_rounds=1,
             num_aggregators=4,
             num_providers=4,
-            churn_events=20_000,
             scale_points=((64, 4, 2048, 1),),
             smoke_point=(128, 1, 2048, 0),
         )
@@ -134,7 +122,7 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
     reads of its slice — each asserted against the written payload.  The
     row's ``read_digest`` hashes the final file contents read back by an
     independent client, so two runs moved the same bytes iff their digests
-    match (regardless of ``network_model`` or scheduler).
+    match (regardless of ``network_model``).
 
     The row's ``metrics`` embeds the unified registry snapshot (collected
     *after* the run — pull-based, so it never perturbs the measurement)
@@ -216,9 +204,6 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
         "read_rounds": read_rounds,
         "num_aggregators": num_aggregators,
         "network_model": config.network_model,
-        "engine": config.engine,
-        "scheduler": config.scheduler or ("heapq" if config.engine == "legacy"
-                                          else "calendar"),
         "wall_clock_s": round(wall, 3),
         "sim_elapsed_s": round(cluster.sim.now, 6),
         "processed_events": events,
@@ -239,50 +224,6 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
                 json.dump(report, handle, indent=1, sort_keys=True)
                 handle.write("\n")
     return row
-
-
-# ----------------------------------------------------------------------
-# scheduler churn microbenchmark
-# ----------------------------------------------------------------------
-def run_scheduler_churn(backend: str, num_events: int = 200_000,
-                        num_actors: int = 64, seed: int = 0) -> Dict[str, object]:
-    """Measure raw queue throughput of one scheduler backend.
-
-    ``num_actors`` concurrent actors sleep on pseudorandom sub-millisecond
-    timeouts until ``num_events`` sleeps completed.  Seven out of eight
-    delays are zero — the simulator's real event mix, where almost every
-    event is an ``Event.succeed`` firing at the current instant and only
-    I/O/network completions jump ahead.  The delays come from a named
-    deterministic stream, so both backends process the identical schedule;
-    on this simulator the two stay within noise of each other (the fast
-    engine keeps pending populations in the hundreds, where CPython's
-    C-implemented heap is already cheap), which the suite records rather
-    than hides.
-    """
-    sim = Simulator(seed=seed, scheduler=backend)
-    delays = sim.rng.stream("bench:churn").uniform(0.0, 1e-3, size=num_events)
-    mask = [index for index in range(num_events) if index % 8]
-    delays[mask] = 0.0
-    share = num_events // num_actors
-
-    def actor(start: int) -> object:
-        for index in range(start, start + share):
-            yield sim.timeout(float(delays[index]))
-
-    for actor_index in range(num_actors):
-        sim.process(actor(actor_index * share))
-    wall_started = time.perf_counter()
-    sim.run_all()
-    wall = time.perf_counter() - wall_started
-
-    return {
-        "kind": "scheduler_churn",
-        "scheduler": backend,
-        "num_actors": num_actors,
-        "processed_events": sim.processed_events,
-        "wall_clock_s": round(wall, 3),
-        "events_per_sec": round(sim.processed_events / wall) if wall > 0 else 0,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -387,21 +328,6 @@ def run_simcore_suite(settings: SimcoreSettings) -> Dict[str, object]:
         **point_kwargs)
     queued["label"] = "headline-queued"
     rows.append(queued)
-
-    if settings.compare_legacy:
-        legacy = run_collective_io_point(
-            settings.num_ranks,
-            config=ClusterConfig(engine="legacy", scheduler="heapq",
-                                 latency_digests=True),
-            **point_kwargs)
-        legacy["label"] = "headline-legacy-heapq"
-        rows.append(legacy)
-
-    for backend in ("calendar", "heapq"):
-        churn = run_scheduler_churn(backend, settings.churn_events,
-                                    seed=settings.seed)
-        churn["label"] = f"churn-{backend}"
-        rows.append(churn)
 
     scale_shapes = list(settings.scale_points)
     if settings.smoke_point is not None:

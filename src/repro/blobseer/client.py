@@ -105,7 +105,6 @@ class BlobClient:
                  shared_metadata_cache: object = _UNSET,
                  metadata_prefetch: object = _UNSET,
                  cooperative_cache: object = _UNSET,
-                 fetch_coalescing: object = _UNSET,
                  write_pipelining: bool = True,
                  write_through_cache: bool = True):
         self.deployment = deployment
@@ -156,19 +155,11 @@ class BlobClient:
                                   and metadata_batching)
         self.coop_peer = (deployment.coop_peer(node)
                           if self.cooperative_cache else None)
-        if fetch_coalescing is _UNSET:
-            fetch_coalescing = self.cluster.config.fetch_coalescing
-        if fetch_coalescing is None:
-            # follow the cooperative knob: the coalescing timeline change
-            # (waiters park instead of fetching) only engages alongside the
-            # tier it was built for, so cooperative-off configurations stay
-            # byte- and counter-identical to the pre-subsystem behaviour
-            fetch_coalescing = self.cooperative_cache
         #: park simultaneous missers for one key on the leader's sim event
-        #: (needs the shared tier's node-local in-flight table)
-        self.fetch_coalescing = (bool(fetch_coalescing)
-                                 and self.shared_cache is not None
-                                 and metadata_batching)
+        #: (needs the shared tier's node-local in-flight table); engaged
+        #: only with the cooperative tier, so cooperative-off
+        #: configurations never park a miss
+        self.fetch_coalescing = self.cooperative_cache
         self.write_pipelining = write_pipelining
         self.write_through_cache = write_through_cache
         #: the commit engine every write of this client routes through

@@ -55,11 +55,7 @@ class Cluster:
     def __init__(self, config: Optional[ClusterConfig] = None,
                  sim: Optional[Simulator] = None, seed: int = 0):
         self.config = config or ClusterConfig()
-        if sim is None:
-            scheduler = self.config.scheduler or (
-                "heapq" if self.config.engine == "legacy" else "calendar")
-            sim = Simulator(seed=seed, scheduler=scheduler)
-        self.sim = sim
+        self.sim = sim if sim is not None else Simulator(seed=seed)
         #: tracer + metrics registry + link telemetry + latency digests +
         #: flight recorder (repro.obs); the tracer is the shared no-op
         #: singleton unless ``config.tracing``
@@ -75,7 +71,7 @@ class Cluster:
         elif self.config.network_model == "bottleneck":
             self.network = Network(self.sim, self.config.network_latency,
                                    self.config.network_bandwidth,
-                                   engine=self.config.engine, obs=self.obs)
+                                   obs=self.obs)
         else:
             raise SimulationError(
                 f"unknown network_model {self.config.network_model!r}; "
@@ -92,8 +88,7 @@ class Cluster:
         disk = None
         if with_disk:
             disk = Disk(self.sim, self.config.disk_bandwidth,
-                        self.config.disk_overhead, name=f"disk:{name}",
-                        engine=self.config.engine)
+                        self.config.disk_overhead, name=f"disk:{name}")
         node = Node(self.sim, name, self.network, disk=disk, role=role)
         self.nodes[name] = node
         return node

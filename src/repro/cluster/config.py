@@ -21,14 +21,6 @@ GiB = 1024 * MiB
 class ClusterConfig:
     """Hardware parameters of the simulated cluster."""
 
-    #: simulation engine profile: ``"fast"`` (analytic FIFO reservations, a
-    #: couple of pooled scheduler events per transfer/IO) or ``"legacy"``
-    #: (the seed's event-per-hop resource machinery — kept so perf baselines
-    #: can be taken against true seed behaviour).  Timings are identical.
-    engine: str = "fast"
-    #: simulator queue backend: ``"calendar"`` or ``"heapq"``; ``None`` picks
-    #: calendar for the fast engine and heapq for the legacy engine
-    scheduler: Optional[str] = None
     #: network cost model: ``"bottleneck"`` (seed full-bisection switch with
     #: half-duplex NICs) or ``"queued"`` (per-link FIFO queues over a two-tier
     #: leaf-switch topology with a CoDel standing-queue signal)
@@ -113,11 +105,6 @@ class ClusterConfig:
     #: replica of its key slice); the rest are **samplers** (serve only
     #: what their custody-aligned slice already holds)
     coop_provider_fraction: float = 0.5
-    #: whether simultaneous missers for the same metadata node park on one
-    #: sim event and share a single upstream fetch (``coalesced_fetches``
-    #: stat).  ``None`` follows ``cooperative_cache``, which keeps the
-    #: cooperative-off timeline untouched; set True/False to force
-    fetch_coalescing: Optional[bool] = None
     #: record causal spans (file op → collective phase → coalescer batch →
     #: commit stage → RPC → link) plus per-link telemetry on the queued
     #: network model, exportable as Chrome trace-event JSON

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.simengine import Resource
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simengine import Simulator
 
@@ -13,13 +11,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Disk:
     """A single storage device attached to a node.
 
-    Concurrent I/O requests on the same disk are serialized (capacity-1
-    resource); each request costs ``overhead + nbytes / bandwidth`` of
+    Concurrent I/O requests on the same disk are served one at a time in
+    arrival order; each request costs ``overhead + nbytes / bandwidth`` of
     simulated time.  Aggregate counters feed the benchmark reports.
     """
 
     def __init__(self, sim: "Simulator", bandwidth: float, overhead: float,
-                 name: str = "disk", engine: str = "fast"):
+                 name: str = "disk"):
         if bandwidth <= 0:
             raise ValueError("disk bandwidth must be positive")
         if overhead < 0:
@@ -28,10 +26,8 @@ class Disk:
         self.bandwidth = float(bandwidth)
         self.overhead = float(overhead)
         self.name = name
-        self.engine = engine
         #: when the last reserved I/O finishes (analytic FIFO queue)
         self.free_at: float = 0.0
-        self._device = Resource(sim, capacity=1) if engine == "legacy" else None
         #: total bytes read + written through this disk
         self.bytes_transferred: int = 0
         #: number of I/O operations served
@@ -46,35 +42,21 @@ class Disk:
     def io(self, nbytes: int):
         """Simulated-process generator performing one I/O of ``nbytes``.
 
-        The fast engine reserves the device's FIFO queue analytically
-        (``free_at``) and sleeps once until the I/O completes — the same
-        schedule the legacy capacity-1 resource produces, without the
-        request/grant/release events.
+        The device's FIFO queue is reserved analytically (``free_at``), and
+        the caller sleeps once until its I/O completes.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if self._device is None:
-            sim = self.sim
-            service = self.overhead + nbytes / self.bandwidth
-            now = sim.now
-            start = self.free_at if self.free_at > now else now
-            finish = start + service
-            self.free_at = finish
-            self.busy_time += service
-            self.bytes_transferred += nbytes
-            self.operations += 1
-            yield sim.sleep(finish - now)
-            return
-        request = self._device.request()
-        yield request
-        start = self.sim.now
-        try:
-            yield self.sim.timeout(self.io_time(nbytes))
-        finally:
-            self.busy_time += self.sim.now - start
-            self._device.release(request)
+        sim = self.sim
+        service = self.overhead + nbytes / self.bandwidth
+        now = sim.now
+        start = self.free_at if self.free_at > now else now
+        finish = start + service
+        self.free_at = finish
+        self.busy_time += service
         self.bytes_transferred += nbytes
         self.operations += 1
+        yield sim.sleep(finish - now)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time the device was busy."""

@@ -24,18 +24,13 @@ Two switchable models (``ClusterConfig.network_model``):
 
 Both models account FIFO queueing *analytically*: a link keeps a ``free_at``
 scalar and each transfer reserves ``[max(now, free_at), ...+tx]`` in arrival
-order, which yields exactly the same completion times as the seed's
-event-per-hop :class:`~repro.simengine.Resource` machinery with a small
-constant number of pooled scheduler events per transfer.  The original
-machinery is kept under ``engine="legacy"`` so perf baselines can be taken
-against the true seed behaviour.
+order, so a transfer costs a small constant number of pooled simulator
+events however long the queues grow.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
-
-from repro.simengine import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.config import ClusterConfig
@@ -47,7 +42,7 @@ class NIC:
     """A node's network interface: a FIFO queue with fixed bandwidth."""
 
     __slots__ = ("sim", "bandwidth", "name", "free_at",
-                 "bytes_transferred", "busy_time", "_port")
+                 "bytes_transferred", "busy_time")
 
     def __init__(self, sim: "Simulator", bandwidth: float, name: str):
         self.sim = sim
@@ -57,14 +52,9 @@ class NIC:
         self.free_at: float = 0.0
         self.bytes_transferred: int = 0
         self.busy_time: float = 0.0
-        self._port: Optional[Resource] = None
 
     def reserve(self, nbytes: int) -> float:
-        """Reserve the next FIFO transmission slot; returns its finish time.
-
-        Reservations made in arrival order produce the same schedule as an
-        event-per-hop FIFO resource, without the grant/release events.
-        """
+        """Reserve the next FIFO transmission slot; returns its finish time."""
         tx = nbytes / self.bandwidth
         now = self.sim.now
         start = self.free_at if self.free_at > now else now
@@ -74,20 +64,6 @@ class NIC:
         self.bytes_transferred += nbytes
         return done
 
-    def occupy(self, nbytes: int):
-        """Legacy generator occupying the NIC for the serialization time."""
-        if self._port is None:
-            self._port = Resource(self.sim, capacity=1)
-        request = self._port.request()
-        yield request
-        start = self.sim.now
-        try:
-            yield self.sim.timeout(nbytes / self.bandwidth)
-        finally:
-            self.busy_time += self.sim.now - start
-            self._port.release(request)
-        self.bytes_transferred += nbytes
-
 
 class Network:
     """Switch-based cluster network connecting every node to every other."""
@@ -95,7 +71,7 @@ class Network:
     model = "bottleneck"
 
     def __init__(self, sim: "Simulator", latency: float, bandwidth: float,
-                 engine: str = "fast", obs=None):
+                 obs=None):
         if latency < 0:
             raise ValueError("latency must be non-negative")
         if bandwidth <= 0:
@@ -103,7 +79,6 @@ class Network:
         self.sim = sim
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
-        self.engine = engine
         self._nics: Dict[str, NIC] = {}
         #: span recorder when the cluster traces (None when disabled, the
         #: zero-cost guard every transfer checks once)
@@ -129,6 +104,22 @@ class Network:
         """Unloaded end-to-end time for a message of ``nbytes``."""
         return self.latency + 2 * (nbytes / self.bandwidth)
 
+    def _reserve(self, nic: NIC, nbytes: int, span: str,
+                 trace_parent: Optional[int]) -> float:
+        """Reserve on an *observed* NIC: identical schedule to a plain
+        ``nic.reserve``, plus one span and/or one digest sample recorded on
+        values the reservation computed anyway."""
+        now = self.sim.now
+        start = nic.free_at if nic.free_at > now else now
+        done = nic.reserve(nbytes)
+        if self.tracer is not None:
+            self.tracer.complete_span(span, "net", ("link", nic.name),
+                                      start, done, parent_id=trace_parent,
+                                      args={"bytes": nbytes})
+        if self.digests is not None:
+            self.digests.link(nic.name, start - now)
+        return done
+
     def transfer(self, src: "Node", dst: "Node", nbytes: int,
                  trace_parent: Optional[int] = None):
         """Generator moving ``nbytes`` from ``src`` to ``dst``.
@@ -136,55 +127,25 @@ class Network:
         Local (same-node) transfers cost nothing: services co-located with
         their client short-circuit the network, as a real loopback would.
         ``trace_parent`` is the span id the NIC-occupation spans attach to
-        when the cluster traces (the legacy engine path is the untraced
-        seed-compatibility baseline and records no spans).
+        when the cluster traces.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if src.name == dst.name:
             return
-        if self.engine == "legacy":
-            yield from self.nic(src.name).occupy(nbytes)
-            yield self.sim.timeout(self.latency)
-            yield from self.nic(dst.name).occupy(nbytes)
-        else:
-            sim = self.sim
-            tracer = self.tracer
-            digests = self.digests
-            # Sender NIC: reserved in initiation order (the legacy resource
-            # enqueued at the same instant), then one sleep to the moment the
-            # message has fully arrived at the receiver NIC's queue.
-            src_nic = self.nic(src.name)
-            if self._observed:
-                now = sim.now
-                start = max(src_nic.free_at, now)
-                src_done = src_nic.reserve(nbytes)
-                if tracer is not None:
-                    tracer.complete_span(
-                        "net.tx", "net", ("link", src_nic.name),
-                        start, src_done, parent_id=trace_parent,
-                        args={"bytes": nbytes})
-                if digests is not None:
-                    digests.link(src_nic.name, start - now)
-            else:
-                src_done = src_nic.reserve(nbytes)
-            yield sim.sleep(src_done + self.latency - sim.now)
-            # Receiver NIC: reserved in arrival order.
-            dst_nic = self.nic(dst.name)
-            if self._observed:
-                now = sim.now
-                start = max(dst_nic.free_at, now)
-                dst_done = dst_nic.reserve(nbytes)
-                if tracer is not None:
-                    tracer.complete_span(
-                        "net.rx", "net", ("link", dst_nic.name),
-                        start, dst_done, parent_id=trace_parent,
-                        args={"bytes": nbytes})
-                if digests is not None:
-                    digests.link(dst_nic.name, start - now)
-            else:
-                dst_done = dst_nic.reserve(nbytes)
-            yield sim.sleep(dst_done - sim.now)
+        sim = self.sim
+        observed = self._observed
+        # Sender NIC: reserved in initiation order, then one sleep to the
+        # moment the message has fully arrived at the receiver NIC's queue.
+        src_nic = self.nic(src.name)
+        src_done = (self._reserve(src_nic, nbytes, "net.tx", trace_parent)
+                    if observed else src_nic.reserve(nbytes))
+        yield sim.sleep(src_done + self.latency - sim.now)
+        # Receiver NIC: reserved in arrival order.
+        dst_nic = self.nic(dst.name)
+        dst_done = (self._reserve(dst_nic, nbytes, "net.rx", trace_parent)
+                    if observed else dst_nic.reserve(nbytes))
+        yield sim.sleep(dst_done - sim.now)
         self.bytes_transferred += nbytes
         self.messages += 1
 

@@ -46,8 +46,6 @@ def _chance(stream, probability: float) -> bool:
 def _sample_cluster(stream) -> dict:
     """ClusterConfig overrides on top of the QUICK base profile."""
     overrides = {
-        "engine": "legacy" if _chance(stream, 0.15) else "fast",
-        "scheduler": _choice(stream, [None, "calendar", "heapq"]),
         "network_model": "queued" if _chance(stream, 0.3) else "bottleneck",
         "tracing": _chance(stream, 0.15),
     }

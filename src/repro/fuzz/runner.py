@@ -78,10 +78,7 @@ class RunResult:
 
 def event_budget(scenario: Scenario) -> int:
     """A generous per-run event bound (anything above it is a livelock)."""
-    budget = 2_000_000 + 600_000 * scenario.num_ranks
-    if scenario.cluster.get("engine") == "legacy":
-        budget *= 4  # event-per-hop machinery
-    return budget
+    return 2_000_000 + 600_000 * scenario.num_ranks
 
 
 def _rank_view(pairs):

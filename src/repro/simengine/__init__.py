@@ -20,10 +20,6 @@ Public surface
 :class:`Process`        a running generator; itself an event (fires on return)
 :class:`AllOf`          condition event: fires when all children fired
 :class:`AnyOf`          condition event: fires when any child fired
-:class:`Resource`       FIFO resource with finite capacity (e.g. a disk)
-:class:`PriorityResource`  resource whose queue is ordered by priority
-:class:`Store`          FIFO queue of Python objects (e.g. a message queue)
-:class:`Container`      counter of continuous capacity (e.g. buffer space)
 :class:`DeterministicRNG`  seeded random streams derived from a root seed
 =====================  ======================================================
 """
@@ -31,13 +27,6 @@ Public surface
 from repro.simengine.events import Event, Timeout, Timer, AllOf, AnyOf, Condition
 from repro.simengine.simulator import Simulator
 from repro.simengine.process import Fanout, Process
-from repro.simengine.resources import (
-    Resource,
-    PriorityResource,
-    Store,
-    Container,
-    Request,
-)
 from repro.simengine.rand import DeterministicRNG
 
 __all__ = [
@@ -50,10 +39,5 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Process",
-    "Resource",
-    "PriorityResource",
-    "Store",
-    "Container",
-    "Request",
     "DeterministicRNG",
 ]

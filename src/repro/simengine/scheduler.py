@@ -1,31 +1,21 @@
-"""Pluggable event-queue backends for the simulator.
+"""The simulator's event queue.
 
-Both backends share one contract: entries are ``(time, priority, seq, event)``
-tuples and must drain in exactly ``(time, priority, seq)`` order, so swapping
-backends never changes simulation results (this is pinned by a property test
-in ``tests/simengine/test_scheduler_equivalence.py``).
-
-* :class:`HeapQueue` — the seed implementation: a single binary heap.  Every
-  push/pop is ``O(log n)`` in the total number of pending events.
-* :class:`CalendarQueue` — a calendar/slot scheduler.  The dominant event
-  class in this simulator is "fires at the current instant" (every
-  ``Event.succeed`` schedules at *now*), which lands in a small per-instant
-  heap whose size tracks the handful of events at one timestamp rather than
-  the thousands pending across all future times.  Near-future events go into
-  a ring of time slots; far-future events into an overflow heap.  Cancelled
-  timers are discarded lazily when their entry is encountered, so
-  ``Timer.cancel`` is O(1).
+Entries are ``(time, priority, seq, event)`` tuples and drain in exactly
+``(time, priority, seq)`` order, so a run is a function of its schedule alone
+(pinned by the property test in ``tests/simengine/test_heap_queue.py``).
+Cancelled timers are discarded lazily when their entry reaches the top of the
+heap, so ``Timer.cancel`` is O(1).
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 _INF = float("inf")
 
 
 class HeapQueue:
-    """Single binary-heap backend (the seed scheduler)."""
+    """Binary heap of pending events with lazy cancellation."""
 
     __slots__ = ("_heap", "_live")
 
@@ -58,151 +48,3 @@ class HeapQueue:
 
     def note_cancel(self) -> None:
         self._live -= 1
-
-
-class CalendarQueue:
-    """Calendar/slot scheduler with a same-instant fast path.
-
-    Parameters
-    ----------
-    width:
-        Time span covered by one slot.  The default matches the microsecond
-        scale of the cluster's network/RPC delays.
-    nslots:
-        Number of slots in the ring; ``width * nslots`` is the horizon beyond
-        which events fall into the overflow heap.
-    """
-
-    __slots__ = ("_time", "_now_heap", "_slots", "_nslots", "_width",
-                 "_cursor", "_slot_count", "_overflow", "_live", "_peek_cache")
-
-    def __init__(self, width: float = 64e-6, nslots: int = 8192) -> None:
-        self._time = 0.0
-        #: (priority, seq, event) entries at the current instant ``_time``
-        self._now_heap = []
-        self._width = width
-        self._nslots = nslots
-        self._slots = [[] for _ in range(nslots)]
-        #: absolute slot index containing ``_time``
-        self._cursor = 0
-        #: physical (incl. cancelled) entries in the slot ring
-        self._slot_count = 0
-        #: far-future entries beyond the ring horizon
-        self._overflow = []
-        self._live = 0
-        #: cached earliest future instant, or None if unknown
-        self._peek_cache = None
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(self, time, priority, seq, event) -> None:
-        self._live += 1
-        if time <= self._time:
-            # The dominant case: an event triggered "now".
-            heappush(self._now_heap, (priority, seq, event))
-            return
-        index = int(time / self._width)
-        if index < self._cursor + self._nslots:
-            self._slots[index % self._nslots].append((time, priority, seq, event))
-            self._slot_count += 1
-        else:
-            heappush(self._overflow, (time, priority, seq, event))
-        cache = self._peek_cache
-        if cache is not None and time < cache:
-            self._peek_cache = time
-
-    def pop(self):
-        while True:
-            heap = self._now_heap
-            while heap:
-                priority, seq, event = heappop(heap)
-                if event._cancelled:
-                    continue
-                self._live -= 1
-                return self._time, priority, seq, event
-            self._advance()
-
-    def peek(self) -> float:
-        heap = self._now_heap
-        while heap and heap[0][2]._cancelled:
-            heappop(heap)
-        if heap:
-            return self._time
-        if self._peek_cache is None:
-            self._peek_cache = self._scan()[0]
-        return self._peek_cache
-
-    def note_cancel(self) -> None:
-        self._live -= 1
-        # The cancelled entry may have been the cached next instant.
-        self._peek_cache = None
-
-    # ------------------------------------------------------------------
-    def _scan(self):
-        """Earliest live future instant and the slot holding it (or -1).
-
-        Pops cancelled overflow tops and clears all-cancelled buckets as a
-        side effect, so lazy-cancelled garbage cannot accumulate.
-        """
-        overflow = self._overflow
-        while overflow and overflow[0][3]._cancelled:
-            heappop(overflow)
-        tmin = overflow[0][0] if overflow else _INF
-        slot = -1
-        if self._slot_count:
-            slots = self._slots
-            nslots = self._nslots
-            index = self._cursor
-            limit = index + nslots
-            while index < limit:
-                bucket = slots[index % nslots]
-                if bucket:
-                    bucket_min = _INF
-                    for entry in bucket:
-                        if entry[0] < bucket_min and not entry[3]._cancelled:
-                            bucket_min = entry[0]
-                    if bucket_min < _INF:
-                        # First slot with a live entry bounds the slot-side
-                        # minimum: later slots only hold later times.
-                        if bucket_min < tmin:
-                            tmin = bucket_min
-                            slot = index
-                        break
-                    # Every entry here was cancelled; drop the garbage.
-                    self._slot_count -= len(bucket)
-                    slots[index % nslots] = []
-                index += 1
-        return tmin, slot
-
-    def _advance(self) -> None:
-        """Load all entries at the earliest future instant into the now-heap."""
-        while True:
-            tmin, slot = self._scan()
-            if tmin == _INF:
-                raise IndexError("pop from an empty event queue")
-            batch = self._now_heap
-            if slot >= 0:
-                position = slot % self._nslots
-                bucket = self._slots[position]
-                keep = []
-                for entry in bucket:
-                    if entry[3]._cancelled:
-                        continue
-                    if entry[0] == tmin:
-                        batch.append((entry[1], entry[2], entry[3]))
-                    else:
-                        keep.append(entry)
-                self._slot_count -= len(bucket) - len(keep)
-                self._slots[position] = keep
-            overflow = self._overflow
-            while overflow and overflow[0][0] == tmin:
-                entry = heappop(overflow)
-                if not entry[3]._cancelled:
-                    batch.append((entry[1], entry[2], entry[3]))
-            self._time = tmin
-            self._cursor = int(tmin / self._width)
-            self._peek_cache = None
-            if batch:
-                heapify(batch)
-                return

@@ -8,7 +8,7 @@ from repro.errors import SimulationError
 from repro.simengine.events import AllOf, AnyOf, Event, Timeout, Timer, _Sleep
 from repro.simengine.process import Fanout, Process
 from repro.simengine.rand import DeterministicRNG
-from repro.simengine.scheduler import CalendarQueue, HeapQueue
+from repro.simengine.scheduler import HeapQueue
 
 #: recycled :class:`_Sleep` instances kept per simulator
 _SLEEP_POOL_CAP = 128
@@ -27,12 +27,6 @@ class Simulator:
     seed:
         Root seed for :class:`~repro.simengine.rand.DeterministicRNG`.  Every
         component that needs randomness derives a named stream from it.
-    scheduler:
-        Queue backend: ``"calendar"`` (default) uses the calendar/slot
-        scheduler with an O(1)-amortized fast path for events firing at the
-        current instant; ``"heapq"`` uses the seed binary-heap scheduler.
-        Both drain in exactly the same ``(time, priority, sequence)`` order,
-        so results are identical — only wall-clock speed differs.
     """
 
     #: priority used by normal events
@@ -40,17 +34,9 @@ class Simulator:
     #: priority used by urgent (engine-internal) events
     PRIORITY_URGENT = 0
 
-    def __init__(self, seed: int = 0, scheduler: str = "calendar"):
+    def __init__(self, seed: int = 0):
         self._now: float = 0.0
-        if scheduler == "calendar":
-            self._queue = CalendarQueue()
-        elif scheduler == "heapq":
-            self._queue = HeapQueue()
-        else:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; use 'calendar' or 'heapq'")
-        #: name of the active queue backend
-        self.scheduler = scheduler
+        self._queue = HeapQueue()
         self._seq: int = 0
         self._sleep_pool: list = []
         self.rng = DeterministicRNG(seed)

@@ -114,8 +114,6 @@ def test_generator_reaches_every_phase_and_injector_kind():
 def test_cluster_overrides_stay_in_vocabulary():
     for seed in SEEDS:
         cluster = generate_scenario(seed).cluster
-        assert cluster["engine"] in ("fast", "legacy")
-        assert cluster["scheduler"] in (None, "calendar", "heapq")
         assert cluster["network_model"] in ("bottleneck", "queued")
         if cluster.get("shared_metadata_cache"):
             assert cluster["shared_cache_policy"] in ("lru", "slru", "2q",

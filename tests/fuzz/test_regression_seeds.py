@@ -24,8 +24,8 @@ from repro.fuzz.runner import execute_scenario
 PINNED = {
     1: "straggler",          # watchdog flush out of rank order
     3: "cache_thrash",       # adversary churn against live metadata
-    14: "provider_death",    # peer daemon dies under a peer-miss storm
     19: "aggregator_death",  # torn stripe commit, one ticket aborted
+    24: "provider_death",    # peer daemon dies under a peer-miss storm
     108: "resolver_death",   # collective read dies, no ticket touched
 }
 
