@@ -10,7 +10,8 @@ simulated and wall-clock seconds — into ``BENCH_collective.json`` at the
 repository root so future PRs can track the perf trajectory.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push).  Smoke runs write ``BENCH_collective_smoke.json``
+instead, so they never overwrite the full-size artifact.
 """
 
 import json
@@ -29,8 +30,9 @@ from repro.bench.collective import (
 from repro.bench.metrics import control_rpc_reduction
 from repro.bench.reporting import format_table
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_collective.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+ARTIFACT = Path(__file__).resolve().parents[1] / (
+    "BENCH_collective_smoke.json" if SMOKE else "BENCH_collective.json")
 
 #: acceptance slack: measured reduction vs the ideal aggregation factor N/A
 #: (the protocol achieves the ideal exactly on this workload; the slack only

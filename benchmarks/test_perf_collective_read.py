@@ -11,7 +11,8 @@ wall-clock seconds — into ``BENCH_collective_read.json`` at the repository
 root so future PRs can track the perf trajectory.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push).  Smoke runs write ``BENCH_collective_read_smoke.json``
+instead, so they never overwrite the full-size artifact.
 """
 
 import json
@@ -31,8 +32,9 @@ from repro.bench.metrics import read_rpc_reduction
 from repro.bench.reporting import format_table
 from repro.mpiio.adio.collective import aggregator_ranks
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_collective_read.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+ARTIFACT = Path(__file__).resolve().parents[1] / (
+    "BENCH_collective_read_smoke.json" if SMOKE else "BENCH_collective_read.json")
 
 #: acceptance slack: measured reduction vs the ideal resolver factor N/R
 #: (the union walk can beat the ideal — resolver stripes dedup shared

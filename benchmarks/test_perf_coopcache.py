@@ -14,7 +14,8 @@ every row into ``BENCH_coopcache.json`` at the repository root so future
 PRs can track the perf trajectory.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push).  Smoke runs write ``BENCH_coopcache_smoke.json``
+instead, so they never overwrite the full-size artifact.
 """
 
 import json
@@ -33,8 +34,9 @@ from repro.bench.coopcache import (
 from repro.bench.metrics import coop_rpc_reduction
 from repro.bench.reporting import format_table
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_coopcache.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+ARTIFACT = Path(__file__).resolve().parents[1] / (
+    "BENCH_coopcache_smoke.json" if SMOKE else "BENCH_coopcache.json")
 
 #: both cost models every suite runs under; with the tier *disabled* the
 #: cache counters must be bit-identical across them (zero behaviour change)

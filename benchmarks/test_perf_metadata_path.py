@@ -10,7 +10,8 @@ cache hit rate, simulated seconds, wall-clock seconds — into
 perf trajectory.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push).  Smoke runs write ``BENCH_metadata_smoke.json``
+instead, so they never overwrite the full-size artifact.
 """
 
 import json
@@ -30,8 +31,9 @@ from repro.bench.metadata_path import (
 from repro.bench.metrics import rpc_reduction
 from repro.bench.reporting import format_table
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_metadata.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+ARTIFACT = Path(__file__).resolve().parents[1] / (
+    "BENCH_metadata_smoke.json" if SMOKE else "BENCH_metadata.json")
 
 #: acceptance threshold: warm-cache path vs uncached baseline round-trips
 MIN_RPC_REDUCTION = 5.0

@@ -13,7 +13,8 @@ both network cost models; cache behaviour and bytes must not depend on
 which one shapes the timing.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push).  Smoke runs write ``BENCH_sharedcache_smoke.json``
+instead, so they never overwrite the full-size artifact.
 """
 
 import json
@@ -32,8 +33,9 @@ from repro.bench.sharedcache import (
     suite_rows,
 )
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_sharedcache.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+ARTIFACT = Path(__file__).resolve().parents[1] / (
+    "BENCH_sharedcache_smoke.json" if SMOKE else "BENCH_sharedcache.json")
 
 #: acceptance slack: measured reduction vs the ideal ``ranks_per_node``
 #: factor (staggered co-tenants can land exactly on the ideal; the slack

@@ -12,7 +12,8 @@ perf trajectory.  A cache-capacity sweep (LRU-bounded metadata caches)
 rides along in the same artifact.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push).  Smoke runs write ``BENCH_writepath_smoke.json``
+instead, so they never overwrite the full-size artifact.
 """
 
 import json
@@ -32,8 +33,9 @@ from repro.bench.writepath import (
     run_write_path_suite,
 )
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_writepath.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+ARTIFACT = Path(__file__).resolve().parents[1] / (
+    "BENCH_writepath_smoke.json" if SMOKE else "BENCH_writepath.json")
 
 #: acceptance threshold: coalesced+pipelined vs baseline control round-trips
 #: per logical write

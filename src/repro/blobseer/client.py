@@ -377,25 +377,27 @@ class BlobClient:
         """
         self.note_collective_commit(blob_id, version)
 
-    def absorb_plan_nodes(self, blob_id: str, entries) -> int:
+    def absorb_plan_nodes(self, blob_id: str, entries, keyed=None) -> int:
         """Insert metadata nodes shipped by a collective read's resolver.
 
         ``entries`` are ``((offset, size, hint), node-or-None)`` pairs from a
         resolver's :class:`~repro.blobseer.metadata.segment_tree.ReadPlanner`
         trace — resolved lookups of a *published* snapshot, so they are
         permanently valid and inserting them is as safe as fetching them
-        ourselves would have been.  Costs zero RPCs; returns how many entries
+        ourselves would have been.  ``keyed`` is their
+        :func:`~repro.blobseer.metadata.cache.plan_keys` map when the caller
+        shares one across ranks.  Costs zero RPCs; returns how many entries
         were absorbed.
         """
         if self.metadata_cache is None and self.shared_cache is None:
             return 0
-        for (offset, size, hint), node in entries:
-            if self.metadata_cache is not None:
-                self.metadata_cache.put(blob_id, offset, size, hint, node)
-            if self.shared_cache is not None:
-                # one collective warms the whole node: the plan resolves a
-                # *published* pinned snapshot, so the watermark gate (fed by
-                # the collective's own note_collective_read) admits it
+        if self.metadata_cache is not None:
+            self.metadata_cache.put_many(blob_id, entries, keyed)
+        if self.shared_cache is not None:
+            # one collective warms the whole node: the plan resolves a
+            # *published* pinned snapshot, so the watermark gate (fed by
+            # the collective's own note_collective_read) admits it
+            for (offset, size, hint), node in entries:
                 self.shared_cache.publish(blob_id, offset, size, hint, node)
         self.plan_nodes_absorbed += len(entries)
         return len(entries)
@@ -790,7 +792,7 @@ class BlobClient:
 
     @staticmethod
     def _assemble(vector: IOVector, fetched: List[Tuple[int, int, bytes]]) -> List[bytes]:
-        """Scatter fetched extents back into one buffer per vector request.
+        """Reassemble fetched extents into one ``bytes`` per vector request.
 
         Fetched extents never overlap each other (the read plan partitions
         the wanted ranges), so after sorting them by offset each request only
@@ -800,13 +802,33 @@ class BlobClient:
         """
         extents = sorted(fetched, key=lambda item: item[0])
         ends = [offset + length for offset, length, _data in extents]
+        count = len(extents)
         results: List[bytes] = []
         for request in vector:
-            buffer = bytearray(request.size)
             req_start = request.offset
             req_end = req_start + request.size
             index = bisect_right(ends, req_start)
-            while index < len(extents):
+            # common cases first: one fetched extent is exactly the request
+            # (returned as is), or consecutive extents tile it (joined) —
+            # no zeroed buffer, no per-extent slice copies
+            tiles = []
+            cursor = req_start
+            scan = index
+            while cursor < req_end and scan < count:
+                offset, length, data = extents[scan]
+                if offset != cursor:
+                    break
+                tiles.append(data)
+                cursor += length
+                scan += 1
+            if cursor == req_end and tiles:
+                if len(tiles) == 1 and type(tiles[0]) is bytes:
+                    results.append(tiles[0])
+                else:
+                    results.append(b"".join(tiles))
+                continue
+            buffer = bytearray(request.size)
+            while index < count:
                 offset, length, data = extents[index]
                 if offset >= req_end:
                     break

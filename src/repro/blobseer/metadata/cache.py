@@ -20,20 +20,46 @@ Eviction is LRU over that map (entries refresh their position on every hit
 and overwrite) and is off by default: a metadata node costs a few hundred
 bytes and the simulated workloads touch bounded trees.  ``capacity`` bounds
 the number of entries when set.
+
+A collective read ships every rank the same resolver plans, so the group
+merges them once (:func:`plan_keys` builds the map ``put`` would write,
+alias entries included) and each rank absorbs the merge in bulk with
+:meth:`MetadataNodeCache.put_many`: an unbounded cache takes it with one
+``dict.update``, a bounded one replays the exact per-entry ``put``
+sequence so its LRU order and eviction count are those of sequential puts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.blobseer.metadata.nodes import MetadataNode
 
 #: cache key of one at-or-before lookup
 HintKey = Tuple[str, int, int, int]
 
+#: one resolved lookup as a read plan records it: ``((offset, size, hint), node)``
+PlanEntry = Tuple[Tuple[int, int, int], Optional[MetadataNode]]
+
 #: sentinel distinguishing "not cached" from a cached negative (None) result
 _ABSENT = object()
+
+
+def plan_keys(blob_id: str, entries: Iterable[PlanEntry]
+              ) -> Dict[HintKey, Optional[MetadataNode]]:
+    """The map :meth:`MetadataNodeCache.put` over ``entries`` would write.
+
+    Every entry's hint key plus, for a node resolved under a newer hint,
+    its exact-version alias; a key written twice keeps its last value, as
+    sequential puts would leave it.
+    """
+    keyed: Dict[HintKey, Optional[MetadataNode]] = {}
+    for (offset, size, hint), node in entries:
+        keyed[(blob_id, offset, size, hint)] = node
+        if node is not None and node.key.version != hint:
+            keyed[(blob_id, offset, size, node.key.version)] = node
+    return keyed
 
 
 @dataclass
@@ -114,6 +140,28 @@ class MetadataNodeCache:
             # alias under the node's exact version: any future hint that
             # resolves through this version hits without a round-trip
             self._insert((blob_id, offset, size, node.key.version), node)
+
+    def put_many(self, blob_id: str, entries: Iterable[PlanEntry],
+                 keyed: Optional[Dict[HintKey, Optional[MetadataNode]]] = None
+                 ) -> None:
+        """Record a batch of resolved lookups, as ``put`` over ``entries`` would.
+
+        ``keyed`` is ``plan_keys(blob_id, entries)`` when the caller already
+        holds it (a collective read builds it once for every rank).  An
+        unbounded cache has no LRU order to keep, so it merges the map in
+        one ``dict.update`` (which only adds keys: the growth is the count
+        of fresh ones); a bounded cache replays the per-entry puts, whose
+        order decides what it evicts.
+        """
+        if self.capacity is not None:
+            for (offset, size, hint), node in entries:
+                self.put(blob_id, offset, size, hint, node)
+            return
+        if keyed is None:
+            keyed = plan_keys(blob_id, entries)
+        held = len(self._resolved)
+        self._resolved.update(keyed)
+        self.stats.insertions += len(self._resolved) - held
 
     def _insert(self, key: HintKey, node: Optional[MetadataNode]) -> None:
         fresh = key not in self._resolved

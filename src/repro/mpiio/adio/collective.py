@@ -74,15 +74,19 @@ against the segment tree independently — ``N`` ``latest`` round-trips and
 4. shares outcomes in a closing ``allgather``: failures anywhere raise on
    every rank (nobody hangs in a half-entered collective), caches are only
    populated from complete, group-approved plans, and on success every rank
-   refreshes its one-shot read hint at the pinned version.
+   refreshes its one-shot read hint at the pinned version.  Every rank
+   receives the same plans, so the group merges them once and each rank
+   absorbs the shared merge in bulk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.blobseer.metadata.cache import plan_keys
 from repro.core.listio import IOVector
 from repro.core.regions import Region, RegionList
 from repro.errors import MPIIOError
@@ -244,9 +248,11 @@ def _shared_memo(gathered, key, compute):
     Each rank of a simulated collective derives the *same* planning from the
     *same* gathered descriptions; caching the derivation on the shared
     :class:`~repro.mpi.simcomm.SharedList` runs it once per collective
-    instead of once per rank.  Falls back to plain computation when the
-    result is not a memo-carrying list (single tests driving the protocol
-    with hand-built lists).
+    instead of once per rank.  A value may also derive from what the
+    collective later hands every rank alike (the read side's inbound plans),
+    provided its key names that input.  Falls back to plain computation when
+    the result is not a memo-carrying list (single tests driving the
+    protocol with hand-built lists).
     """
     memo = getattr(gathered, "memo", None)
     if memo is None:
@@ -337,6 +343,22 @@ def _scan_read_gather(gathered) -> Tuple[list, list, int, list, int, int]:
                 if end > hi:
                     hi = end
     return early_errors, extents_by_rank, pinned, data_extents, lo or 0, hi
+
+
+def _merge_plans(blob_id: str, inbound: list) -> Tuple[list, dict]:
+    """The inbound resolver plans merged for cache absorption.
+
+    Returns ``(entries, keyed)``: the plan entries deduplicated across
+    resolvers in source-rank order (the first resolver to ship a lookup
+    wins, so absorption is deterministic) and their
+    :func:`~repro.blobseer.metadata.cache.plan_keys` map.
+    """
+    absorbed: Dict = {}
+    for _pieces, _holes, plan, _nbytes in inbound:
+        for request, node in plan:
+            absorbed.setdefault(request, node)
+    entries = list(absorbed.items())
+    return entries, plan_keys(blob_id, entries)
 
 
 class _CollectiveParticipant:
@@ -640,7 +662,6 @@ class CollectiveReader(_CollectiveParticipant):
         of the protocol failed.
         """
         client = self.client
-        node_size = client.cluster.config.metadata_node_size
         failure: Optional[BaseException] = None
         owners: List[int] = []
         floor = 0
@@ -715,7 +736,7 @@ class CollectiveReader(_CollectiveParticipant):
         # empty-handed and reports through the closing phase, so its peers
         # never hang mid-collective.  Non-resolver ranks ship nothing at
         # all — the exchange is sparse on their side.
-        send: Dict[int, Tuple[List[Tuple[int, bytes]], list, list]] = {}
+        send: Dict[int, Tuple[List[Tuple[int, bytes]], list, list, int]] = {}
         if failure is None:
             try:
                 blob = yield from client._descriptor(blob_id)
@@ -747,18 +768,11 @@ class CollectiveReader(_CollectiveParticipant):
         # phase 3: scatter fetched pieces (and the plan trace) to the ranks.
         # Never-written ranges travel as (offset, length) hole descriptors —
         # 16 bytes each — instead of their literal zero payload
-        def item_bytes(item):
-            pieces, piece_holes, plan = item
-            return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
-                        for _offset, data in pieces)
-                    + len(piece_holes) * EXTENT_DESCRIPTION_BYTES
-                    + len(plan) * node_size)
-
-        self.stats.bytes_sent += sum(item_bytes(item)
+        self.stats.bytes_sent += sum(item[3]
                                      for destination, item in send.items()
                                      if destination != rank)
         received = yield from _phase(
-            ctx, comm.alltoallv_sparse(rank, send, sizeof=item_bytes),
+            ctx, comm.alltoallv_sparse(rank, send, sizeof=itemgetter(3)),
             "collective.read.scatter", rank=rank)
 
         # phase 4: share outcomes; only a group-approved plan touches caches
@@ -779,32 +793,32 @@ class CollectiveReader(_CollectiveParticipant):
             raise MPIIOError("collective read failed: " + "; ".join(errors))
 
         self.stats.bytes_received += sum(
-            item_bytes(item) for source, item in received.items()
-            if source != rank)
+            item[3] for source, item in received.items() if source != rank)
         # the group pin is a published version every rank must remember
         # *before* absorbing the plan: recording it re-plants the one-shot
         # hint and opens the shared tier's watermark gate for the plan's
         # nodes (all resolved at or below the pin)
         client.note_collective_read(blob_id, pinned)
         # cache warming from the broadcast plan: resolved lookups of the
-        # pinned (published, immutable) snapshot, deduplicated across the
-        # resolvers that shipped them (in source-rank order, so absorption
-        # is deterministic)
-        inbound = [item for _source, item in sorted(received.items())]
-        absorbed: Dict = {}
-        for _pieces, _holes, plan in inbound:
-            for request, node in plan:
-                absorbed.setdefault(request, node)
-        if absorbed:
-            client.absorb_plan_nodes(blob_id, list(absorbed.items()))
+        # pinned (published, immutable) snapshot.  Each resolver shipped one
+        # plan object to every rank, so all ranks hold the same inbound
+        # plans: the group merges them once (keyed by the source set) and
+        # every rank absorbs the shared merge in bulk
+        sources = tuple(sorted(received))
+        inbound = [received[source] for source in sources]
+        entries, keyed = _shared_memo(
+            gathered, ("read_absorb", sources),
+            lambda: _merge_plans(blob_id, inbound))
+        if entries:
+            client.absorb_plan_nodes(blob_id, entries, keyed)
 
         # hole descriptors materialize locally — the zeros never crossed
         # the interconnect
         fetched = [(offset, len(data), data)
-                   for pieces, _holes, _plan in inbound
+                   for pieces, _holes, _plan, _nbytes in inbound
                    for offset, data in pieces]
         fetched.extend((offset, length, b"\x00" * length)
-                       for _pieces, piece_holes, _plan in inbound
+                       for _pieces, piece_holes, _plan, _nbytes in inbound
                        for offset, length in piece_holes)
         results = client._assemble(vector, fetched)
         self.stats.collectives += 1
@@ -822,14 +836,15 @@ class CollectiveReader(_CollectiveParticipant):
         the stripe (each metadata node resolved once however many ranks want
         it), one parallel chunk fetch, then per-rank extraction.  Returns
         the ``send`` map for the sparse data exchange: ``(pieces, holes,
-        plan)`` per destination — ``holes`` are the never-written ranges
-        within that rank's wanted bytes, shipped as ``(offset, length)``
-        descriptors instead of literal zero payloads (zero-extent elision),
-        and ``plan`` is the traversal trace every rank uses to warm its
-        cache (shipped to every rank, wanted bytes or not).
+        plan, nbytes)`` per destination — ``holes`` are the never-written
+        ranges within that rank's wanted bytes, shipped as ``(offset,
+        length)`` descriptors instead of literal zero payloads (zero-extent
+        elision), ``plan`` is the traversal trace every rank uses to warm
+        its cache (one object shipped to every rank, wanted bytes or not)
+        and ``nbytes`` is the item's wire size.
         """
         start, end = domain
-        send: Dict[int, Tuple[List[Tuple[int, bytes]], list, list]] = {}
+        send: Dict[int, Tuple[List[Tuple[int, bytes]], list, list, int]] = {}
         if end <= start:
             return send
         stripe = Region(start, end - start)
@@ -845,6 +860,7 @@ class CollectiveReader(_CollectiveParticipant):
             trace=trace, holes=zero_extents)
         self.stats.stripes_resolved += 1
         plan = list(trace.items())
+        plan_bytes = len(plan) * self.client.cluster.config.metadata_node_size
         self.stats.plan_nodes_shipped += len(plan) * (size - 1)
         hole_list = RegionList(zero_extents).normalized()
         have_holes = len(hole_list) > 0
@@ -878,5 +894,8 @@ class CollectiveReader(_CollectiveParticipant):
             if destination != rank:
                 self.stats.hole_bytes_elided += sum(length for _offset, length
                                                     in cut_holes)
-            send[destination] = (cut, cut_holes, plan)
+            nbytes = (sum(len(data) for _offset, data in cut)
+                      + (len(cut) + len(cut_holes)) * EXTENT_DESCRIPTION_BYTES
+                      + plan_bytes)
+            send[destination] = (cut, cut_holes, plan, nbytes)
         return send

@@ -17,7 +17,7 @@ against the rank's view and hands the resulting vector to its ADIO driver.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.core.listio import IOVector
 from repro.errors import MPIIOError
@@ -57,6 +57,9 @@ class File:
         self.view = FileView()
         self._atomic = False
         self._open = False
+        #: the last read's ``(view, offset, nbytes, vector)``: a rank that
+        #: re-reads the same range flattens its view once
+        self._last_read: Optional[Tuple[FileView, int, int, IOVector]] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -161,7 +164,7 @@ class File:
     def read_at(self, offset: int, size: int):
         """Independent explicit-offset read through the rank's view."""
         self._ensure_open()
-        vector = build_read_vector(self.view, offset, size)
+        vector = self._read_vector(offset, size)
         if len(vector) == 0:
             return b""
         token = self._begin_op("file.read_at", offset,
@@ -185,7 +188,7 @@ class File:
         call.
         """
         self._ensure_open()
-        vector = build_read_vector(self.view, offset, size)
+        vector = self._read_vector(offset, size)
         token = self._begin_op("file.read_at_all", offset,
                                vector.total_bytes())
         try:
@@ -199,6 +202,22 @@ class File:
         finally:
             self._end_op(token)
         return b"".join(pieces)
+
+    def _read_vector(self, offset: int, size: int) -> IOVector:
+        """The read vector of ``size`` bytes at ``offset`` under the view.
+
+        Memoized for the last read: views are immutable, so a hit on the
+        same view object and range is exact; installing a new view (by
+        :meth:`set_view` or by assigning ``view``) misses.
+        """
+        view = self.view
+        last = self._last_read
+        if last is not None and last[0] is view \
+                and last[1] == offset and last[2] == size:
+            return last[3]
+        vector = build_read_vector(view, offset, size)
+        self._last_read = (view, offset, size, vector)
+        return vector
 
     def _begin_op(self, name: str, offset: int, nbytes: int):
         """Open the observation bracket of one file operation.

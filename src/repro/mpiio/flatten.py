@@ -22,9 +22,9 @@ from repro.errors import MPIIOError
 from repro.mpi.datatypes import BYTE, Datatype
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileView:
-    """One rank's file view."""
+    """One rank's file view (immutable: install a new one to change it)."""
 
     displacement: int = 0
     etype: Datatype = BYTE

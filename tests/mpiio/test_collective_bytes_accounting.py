@@ -55,8 +55,9 @@ def charge_log(monkeypatch):
 def _item_wire_bytes(item, node_size):
     """Reference price of one scatter item: payload pieces with a
     16-byte header each, 16 bytes per hole descriptor, ``node_size``
-    per piggybacked plan node."""
-    pieces, piece_holes, plan = item
+    per piggybacked plan node (recomputed from the item's contents, not
+    taken from the size its resolver shipped with it)."""
+    pieces, piece_holes, plan, _nbytes = item
     return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
                 for _offset, data in pieces)
             + len(piece_holes) * EXTENT_DESCRIPTION_BYTES
@@ -79,7 +80,7 @@ def _reference_bottleneck(contributions, node_size,
 
 def _item_literal_bytes(item, node_size):
     """Counterfactual price with holes shipped as literal zeros."""
-    pieces, piece_holes, plan = item
+    pieces, piece_holes, plan, _nbytes = item
     return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
                 for _offset, data in pieces)
             + sum(length for _offset, length in piece_holes)
@@ -142,7 +143,7 @@ def test_collective_read_bytes_moved_exact(charge_log):
     # would have cost strictly more than the descriptor pricing did
     hole_bytes = sum(length
                      for send_map in scatter_contribs.values()
-                     for _pieces, holes, _plan in send_map.values()
+                     for _pieces, holes, _plan, _nbytes in send_map.values()
                      for _offset, length in holes)
     assert hole_bytes >= (NUM_RANKS - 1) * (BLOCK - WRITE)
     assert scatter_bytes < _reference_bottleneck(
